@@ -22,6 +22,7 @@
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
+#include "tcp/bulk.hpp"
 #include "util/alias_sampler.hpp"
 #include "util/rng.hpp"
 
@@ -255,6 +256,30 @@ void BM_CcDuelSecond(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 3);
 }
 BENCHMARK(BM_CcDuelSecond)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_BulkTcpSecond(benchmark::State& state) {
+  // Simulated seconds of BTC's measurement loop per wall second: a greedy
+  // packet TCP connection through tcp::run_bulk_transfer (the code path
+  // behind btc and delivery-rate) over the btc-path preset, engine v1
+  // (arg 0) or v2 (arg 1). The instance is built and warmed once; each
+  // iteration opens a new connection on the running path for 10 s, long
+  // enough to leave slow start on the ~200 ms RTT path, as BTC's
+  // back-to-back intervals do. The per-ACK cost (delay-line deliveries,
+  // the lazy RTO, the rate sampler) is what this pair tracks.
+  constexpr int kSeconds = 10;
+  scenario::ScenarioSpec spec = scenario::Registry::builtin().at("btc-path");
+  if (state.range(0) != 0) spec.engine = scenario::EngineVersion::kV2;
+  scenario::ScenarioInstance inst{spec};
+  inst.start();
+  core::BulkTransferSpec bulk;
+  bulk.duration = Duration::seconds(kSeconds);
+  for (auto _ : state) {
+    const auto out = tcp::run_bulk_transfer(inst.simulator(), inst.path(), bulk);
+    benchmark::DoNotOptimize(out.bytes_acked);
+  }
+  state.SetItemsProcessed(state.iterations() * kSeconds);
+}
+BENCHMARK(BM_BulkTcpSecond)->Arg(0)->Arg(1);
 
 std::vector<double> synthetic_owds(int k) {
   Rng rng{7};

@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "sim/delay_line.hpp"
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -52,6 +53,7 @@ class Link final : public PacketHandler {
        DataSize buffer_limit);
 
   /// Downstream receiver of everything this link forwards (not owned).
+  /// Packets already in propagation keep the receiver they left with.
   void set_downstream(PacketHandler* downstream) { downstream_ = downstream; }
 
   /// Packet arrival at the tail of the queue (drop-tail if over buffer).
@@ -151,6 +153,9 @@ class Link final : public PacketHandler {
   // End-of-serialization is one reusable timer re-armed per packet: the
   // per-packet drain event costs no closure construction and no allocation.
   Simulator::TimerHandle service_timer_;
+  // Propagation to the downstream node: one delay line for every packet
+  // the link forwards, in both service modes.
+  PacketDelayLine propagation_;
   bool busy_{false};
   DataSize queued_bytes_{};
 

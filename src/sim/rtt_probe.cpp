@@ -10,7 +10,8 @@ RttProber::RttProber(Simulator& sim, Path& path, Duration period,
       reverse_delay_{reverse_delay},
       probe_size_{probe_size_bytes},
       flow_{sim.next_flow_id()},
-      send_timer_{sim.make_timer([this] { send_probe(); })} {
+      send_timer_{sim.make_timer([this] { send_probe(); })},
+      echoes_{sim, EchoSink{this}} {
   path_.egress().register_flow(flow_, this);
 }
 
@@ -40,12 +41,14 @@ void RttProber::send_probe() {
 void RttProber::handle(const Packet& p) {
   // The probe reached the far end; the "echo" comes back over a fixed-delay
   // reverse path.
-  sim_.schedule_in(reverse_delay_, [this, seq = p.seq] {
-    auto it = outstanding_.find(seq);
-    if (it == outstanding_.end()) return;
-    samples_.push_back({it->second, sim_.now() - it->second});
-    outstanding_.erase(it);
-  });
+  echoes_.push(sim_.now() + reverse_delay_, p.seq);
+}
+
+void RttProber::on_echo(std::uint32_t seq) {
+  auto it = outstanding_.find(seq);
+  if (it == outstanding_.end()) return;
+  samples_.push_back({it->second, sim_.now() - it->second});
+  outstanding_.erase(it);
 }
 
 std::uint64_t RttProber::lost() const {

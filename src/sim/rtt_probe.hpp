@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/delay_line.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 
@@ -21,6 +22,7 @@ struct RttSample {
 /// Probes traverse the forward path (experiencing its queueing) and are
 /// reflected back over an uncongested reverse path of fixed delay, matching
 /// the experimental setup where congestion was on the forward direction.
+/// Echoes still on that reverse path are dropped with the prober.
 class RttProber final : public PacketHandler {
  public:
   RttProber(Simulator& sim, Path& path, Duration period, Duration reverse_delay,
@@ -42,7 +44,13 @@ class RttProber final : public PacketHandler {
   void handle(const Packet& p) override;
 
  private:
+  struct EchoSink {
+    RttProber* self;
+    void operator()(std::uint32_t seq) const { self->on_echo(seq); }
+  };
+
   void send_probe();
+  void on_echo(std::uint32_t seq);
 
   Simulator& sim_;
   Path& path_;
@@ -51,6 +59,7 @@ class RttProber final : public PacketHandler {
   std::int32_t probe_size_;
   std::uint32_t flow_;
   Simulator::TimerHandle send_timer_;
+  DelayLine<std::uint32_t, EchoSink> echoes_;  ///< reverse path, by probe seq
 
   bool running_{false};
   std::uint32_t next_seq_{0};

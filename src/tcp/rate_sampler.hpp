@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -71,6 +72,8 @@ class RateSampler {
   /// would otherwise accumulate history nobody reads).
   void set_recording(bool on) { recording_ = on; }
   const std::vector<RateSample>& samples() const { return samples_; }
+  /// Hand the recorded history over, leaving the sampler's empty.
+  std::vector<RateSample> take_samples() { return std::move(samples_); }
 
   /// Cumulative segments delivered (== the highest cumulative ACK seen).
   std::uint64_t delivered_segments() const { return delivered_; }

@@ -9,7 +9,7 @@ namespace pathload::tcp {
 // --- TcpReceiver -----------------------------------------------------------
 
 TcpReceiver::TcpReceiver(sim::Simulator& sim, Duration reverse_delay)
-    : sim_{sim}, reverse_delay_{reverse_delay} {}
+    : sim_{sim}, reverse_delay_{reverse_delay}, reverse_path_{sim, sim::HandPacket{}} {}
 
 void TcpReceiver::handle(const sim::Packet& data) {
   mss_bytes_ = data.size_bytes;  // learn the segment wire size for stats
@@ -33,9 +33,7 @@ void TcpReceiver::handle(const sim::Packet& data) {
     ack.kind = sim::PacketKind::kTcpAck;
     ack.size_bytes = 40;
     ack.tcp_seq = rcv_next_;
-    sim_.schedule_in(reverse_delay_, [w = sender_alive_, s = sender_, ack] {
-      if (!w.expired()) s->handle(ack);
-    });
+    reverse_path_.push(sim_.now() + reverse_delay_, {sender_, ack});
   }
 }
 
@@ -52,7 +50,8 @@ TcpSender::TcpSender(sim::Simulator& sim, sim::Path& path, TcpConfig cfg,
       flow_{sim.next_flow_id()},
       ops_{make_congestion_ops(cfg.cc, cfg)},
       sampler_{cfg.mss_bytes},
-      rto_{cfg.initial_rto} {}
+      rto_{cfg.initial_rto},
+      rto_timer_{sim, [this] { on_rto(); }} {}
 
 TcpSender::~TcpSender() = default;
 
@@ -101,7 +100,7 @@ void TcpSender::transmit(std::uint64_t seq) {
     timed_seq_ = seq;
     timed_sent_ = sim_.now();
   }
-  if (!timer_armed_) arm_rto();
+  if (!rto_timer_.armed()) arm_rto();
 }
 
 void TcpSender::handle(const sim::Packet& ack) {
@@ -180,12 +179,10 @@ void TcpSender::enter_fast_recovery() {
   arm_rto();
 }
 
-void TcpSender::on_rto(std::uint64_t generation) {
-  if (generation != rto_generation_) return;  // stale timer
+void TcpSender::on_rto() {
   if (next_seq_ == highest_acked_) {
     // Nothing outstanding: let the timer lapse; the next transmission
     // re-arms it.
-    timer_armed_ = false;
     return;
   }
   ++timeouts_;
@@ -202,13 +199,7 @@ void TcpSender::on_rto(std::uint64_t generation) {
   try_send();
 }
 
-void TcpSender::arm_rto() {
-  const std::uint64_t gen = ++rto_generation_;
-  timer_armed_ = true;
-  sim_.schedule_in(rto_, [w = std::weak_ptr<const bool>(alive_), this, gen] {
-    if (!w.expired()) on_rto(gen);
-  });
-}
+void TcpSender::arm_rto() { rto_timer_.arm(sim_.now() + rto_); }
 
 void TcpSender::take_rtt_sample(Duration sample) {
   rtt_samples_.push_back(sample.secs());
@@ -240,7 +231,7 @@ TcpConnection::TcpConnection(sim::Simulator& sim, sim::Path& path, TcpConfig cfg
     : path_{path},
       receiver_{sim, reverse_delay},
       sender_{sim, path, cfg, segment} {
-  receiver_.connect(&sender_, sender_.alive_token());
+  receiver_.connect(&sender_);
   path_.segment_exit(sender_.segment()).register_flow(sender_.flow(), &receiver_);
 }
 

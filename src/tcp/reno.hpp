@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/deadline_timer.hpp"
+#include "sim/delay_line.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/rate_sampler.hpp"
@@ -41,32 +43,30 @@ struct TcpConfig {
 /// Receiving endpoint: cumulative ACKs with out-of-order buffering. ACKs
 /// return to the sender over an uncongested fixed-delay reverse path,
 /// matching the paper's experiments where congestion was on the forward
-/// direction. Safe to tear down mid-flight: reverse-path deliveries hold a
-/// liveness token and expire if the sender is gone.
+/// direction. Safe to tear down mid-flight: ACKs still "in flight" wait in
+/// the receiver's own delay line and are dropped with it.
 class TcpReceiver final : public sim::PacketHandler {
  public:
   TcpReceiver(sim::Simulator& sim, Duration reverse_delay);
 
   /// The sender ACKs are delivered to (set once during connection wiring).
-  /// The liveness token guards the reverse-path delivery events: a
-  /// connection may be torn down while ACKs are still "in flight" in the
-  /// simulator, and those events must then expire silently.
-  void connect(sim::PacketHandler* sender, std::weak_ptr<const bool> sender_alive) {
-    sender_ = sender;
-    sender_alive_ = std::move(sender_alive);
-  }
+  /// It must outlive the receiver's pending ACKs, as TcpConnection's
+  /// sender and receiver do: they are torn down together.
+  void connect(sim::PacketHandler* sender) { sender_ = sender; }
 
   void handle(const sim::Packet& data) override;
 
   /// Next expected segment = total in-order segments received.
   std::uint64_t cumulative_ack() const { return rcv_next_; }
   DataSize bytes_received() const { return bytes_received_; }
+  /// ACKs sent but not yet delivered over the reverse path.
+  std::size_t acks_in_flight() const { return reverse_path_.size(); }
 
  private:
   sim::Simulator& sim_;
   Duration reverse_delay_;
   sim::PacketHandler* sender_{nullptr};
-  std::weak_ptr<const bool> sender_alive_;
+  sim::PacketDelayLine reverse_path_;
   std::uint64_t rcv_next_{0};
   std::set<std::uint64_t> out_of_order_;
   DataSize bytes_received_{};
@@ -114,6 +114,9 @@ class TcpSender final : public sim::PacketHandler {
   std::uint64_t fast_retransmits() const { return fast_retransmits_; }
   std::uint64_t timeouts() const { return timeouts_; }
   std::uint64_t segments_sent() const { return segments_sent_; }
+  /// True while the retransmission timer runs (data outstanding, or the
+  /// last of it acknowledged less than one RTO ago).
+  bool rto_armed() const { return rto_timer_.armed(); }
   /// Smoothed RTT estimate (zero until the first sample).
   Duration srtt() const { return srtt_; }
   /// Every RTT sample taken (for jitter analysis in tests/benches).
@@ -125,17 +128,13 @@ class TcpSender final : public sim::PacketHandler {
   /// Average goodput of the whole connection so far.
   Rate average_throughput() const;
 
-  /// Liveness token for events that reference this sender (RTO timers,
-  /// reverse-path ACK deliveries). Expires when the sender is destroyed.
-  std::weak_ptr<const bool> alive_token() const { return alive_; }
-
  private:
   void try_send();
   void transmit(std::uint64_t seq);
   void on_new_ack(std::uint64_t cum_ack);
   void on_dup_ack();
   void enter_fast_recovery();
-  void on_rto(std::uint64_t generation);
+  void on_rto();
   void arm_rto();
   void take_rtt_sample(Duration sample);
   double effective_window() const;
@@ -163,8 +162,9 @@ class TcpSender final : public sim::PacketHandler {
   Duration srtt_{Duration::zero()};
   Duration rttvar_{Duration::zero()};
   Duration rto_;
-  std::uint64_t rto_generation_{0};
-  bool timer_armed_{false};
+  // Re-armed on every ACK, expires rarely: a lazy deadline, so pushing it
+  // back costs no simulator event (sim/deadline_timer.hpp).
+  sim::DeadlineTimer rto_timer_;
   std::optional<std::uint64_t> timed_seq_{};  ///< Karn: one clean sample at a time
   TimePoint timed_sent_{};
 
@@ -173,9 +173,6 @@ class TcpSender final : public sim::PacketHandler {
   std::uint64_t fast_retransmits_{0};
   std::uint64_t timeouts_{0};
   std::vector<double> rtt_samples_;
-
-  // Destroyed with the sender; scheduled events hold weak copies.
-  std::shared_ptr<const bool> alive_{std::make_shared<const bool>(true)};
 };
 
 /// A fully wired TCP connection over a simulated path: sender at the

@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "baselines/btc.hpp"
 #include "baselines/estimators.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/shard.hpp"
 #include "scenario/sim_channel.hpp"
 #include "scenario/spec.hpp"
 
@@ -180,6 +184,117 @@ TEST(EstimatorGolden, BtcDirectAndChannelFormsAgreeBitExact) {
   EXPECT_EQ(bespoke.timeouts, 0u);
   EXPECT_EQ(bespoke.rtt_secs.count(), 35);
   EXPECT_EQ(bespoke.rtt_secs.mean(), 0.22166139585714284);
+}
+
+// Exact event-count gate for the bulk-TCP path. An 8 s btc run on
+// paper-path pins Simulator::events_processed() next to the report's full
+// text (scenario/shard.hpp form). Event counts are deterministic, so any
+// change in how TCP schedules work shows up here even when every reported
+// byte stays the same. History: the lazy RTO deadline removed exactly the
+// stale per-ACK RTO wake-ups, v1 248059 -> 245787 and v2 12480 -> 10135,
+// with these report bytes unchanged.
+
+struct BtcGateRun {
+  std::uint64_t warm_events;
+  std::uint64_t total_events;
+  std::string text;
+};
+
+BtcGateRun run_btc_gate(scenario::EngineVersion engine) {
+  scenario::ScenarioSpec spec = scenario::Registry::builtin().at("paper-path");
+  spec.seed = kSeed;
+  spec.engine = engine;
+  scenario::ScenarioInstance inst{std::move(spec)};
+  inst.start();
+  const std::uint64_t warm = inst.simulator().events_processed();
+  scenario::SimProbeChannel channel{inst.simulator(), inst.path()};
+  Rng rng{kSeed};
+  const auto r = builtin_estimators().make("btc", "duration_s = 8")->run(channel, rng);
+  scenario::MatrixCell cell;
+  cell.estimator = r.estimator;
+  cell.scenario = "paper-path";
+  cell.reports.push_back(r);
+  return {warm, inst.simulator().events_processed(), scenario::cell_to_text(cell, 0)};
+}
+
+TEST(EstimatorGolden, BtcEventCountAndReportTextV1) {
+  const auto run = run_btc_gate(scenario::EngineVersion::kV1);
+  EXPECT_EQ(run.warm_events, 25582u);
+  EXPECT_EQ(run.total_events, 245787u);
+  EXPECT_EQ(run.text, R"(cell 0
+estimator = btc
+scenario = paper-path
+load = 0
+truth_bps = 0
+seed0 = 0
+reports = 1
+report 0
+tool = btc
+quantity = tcp-throughput
+outcome = ok
+note = 
+packets_lost = 0
+valid = 1
+range = 0
+low_bps = 3498160
+high_bps = 3498160
+capacity_bps = none
+streams = 0
+packets = 0
+bytes = 3498160
+elapsed_ns = 8000000000
+iterations = 8
+iteration = 0 1.8119999999999998 bucket
+iteration = 0 4.0439999999999996 bucket
+iteration = 0 3.9239999999999999 bucket
+iteration = 0 3.7919999999999998 bucket
+iteration = 0 3.8999999999999999 bucket
+iteration = 0 3.984 bucket
+iteration = 0 4.0800000000000001 bucket
+iteration = 0 3.8270482912909984 bucket
+end report
+end cell
+)");
+}
+
+TEST(EstimatorGolden, BtcEventCountAndReportTextV2) {
+  const auto run = run_btc_gate(scenario::EngineVersion::kV2);
+  EXPECT_EQ(run.warm_events, 0u);
+  EXPECT_EQ(run.total_events, 10135u);
+  EXPECT_EQ(run.text, R"(cell 0
+estimator = btc
+scenario = paper-path
+load = 0
+truth_bps = 0
+seed0 = 0
+reports = 1
+report 0
+tool = btc
+quantity = tcp-throughput
+outcome = ok
+note = 
+packets_lost = 0
+valid = 1
+range = 0
+low_bps = 3631020
+high_bps = 3631020
+capacity_bps = none
+streams = 0
+packets = 0
+bytes = 3631020
+elapsed_ns = 8000000000
+iterations = 8
+iteration = 0 1.8839999999999999 bucket
+iteration = 0 4.1280000000000001 bucket
+iteration = 0 4.0919999999999996 bucket
+iteration = 0 4.0800000000000001 bucket
+iteration = 0 4.0679999999999996 bucket
+iteration = 0 4.0800000000000001 bucket
+iteration = 0 4.0679999999999996 bucket
+iteration = 0 4.0523427521056501 bucket
+end report
+end cell
+)");
 }
 
 }  // namespace

@@ -148,6 +148,36 @@ TEST(Link, RejectsNonPositiveCapacity) {
                std::invalid_argument);
 }
 
+TEST(Link, PacketsInFlightKeepTheDownstreamTheyLeftWith) {
+  // A packet is bound to its receiver when it leaves for the downstream node
+  // (packet mode: end of serialization; fluid mode: acceptance), so
+  // re-pointing the link — or blackholing it with nullptr — only affects
+  // later packets. The propagation delay line carries the handler per entry.
+  for (const bool fluid : {false, true}) {
+    Simulator sim;
+    Link link{sim, "l", Rate::mbps(10), Duration::milliseconds(5), DataSize::bytes(100000)};
+    if (fluid) link.enable_fluid_mode();
+    Collector a{sim};
+    Collector b{sim};
+    link.set_downstream(&a);
+    link.handle(make_packet(sim, 1500));
+    link.handle(make_packet(sim, 1500));
+    sim.run_until(TimePoint::origin() + Duration::milliseconds(3));  // both propagating
+    link.set_downstream(&b);
+    link.handle(make_packet(sim, 1500));
+    sim.run_until(TimePoint::origin() + Duration::milliseconds(5));  // third propagating
+    link.set_downstream(nullptr);
+    link.handle(make_packet(sim, 1500));
+    sim.run_all();
+    ASSERT_EQ(a.arrivals.size(), 2u) << (fluid ? "fluid" : "packet");
+    ASSERT_EQ(b.arrivals.size(), 1u) << (fluid ? "fluid" : "packet");
+    EXPECT_EQ(a.arrivals[0] - TimePoint::origin(), Duration::milliseconds(6.2));
+    EXPECT_EQ(a.arrivals[1] - TimePoint::origin(), Duration::milliseconds(7.4));
+    EXPECT_EQ(b.arrivals[0] - TimePoint::origin(), Duration::milliseconds(9.2));
+    EXPECT_EQ(link.packets_forwarded(), 4u);
+  }
+}
+
 TEST(Link, NoDownstreamIsSafe) {
   Simulator sim;
   Link link{sim, "l", Rate::mbps(10), Duration::zero(), DataSize::bytes(1000)};

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/rtt_probe.hpp"
 #include "sim/traffic.hpp"
 
@@ -79,6 +81,25 @@ TEST(RttProber, StopHaltsProbing) {
   const auto sent_at_stop = prober.sent();
   sim.run_for(Duration::seconds(1));
   EXPECT_EQ(prober.sent(), sent_at_stop);
+}
+
+TEST(RttProber, DestroyedMidFlightDropsItsEchoes) {
+  // Echoes on the reverse path belong to the prober: destroying it while
+  // some are in flight must drop them, not deliver into freed memory (the
+  // sanitizer build catches the latter).
+  Simulator sim;
+  Path path{sim, one_hop(Rate::mbps(10), DataSize::bytes(1'000'000))};
+  auto prober = std::make_unique<RttProber>(sim, path, Duration::milliseconds(10),
+                                            Duration::milliseconds(200));
+  prober->start();
+  sim.run_for(Duration::milliseconds(300));  // ~20 echoes on the reverse path
+  ASSERT_GT(prober->samples().size(), 0u);
+  ASSERT_GT(prober->sent(), prober->samples().size() + 10);
+  prober.reset();
+  sim.run_for(Duration::seconds(2));
+  // Probes still on the forward path surface at the egress, unclaimed.
+  EXPECT_GT(path.egress().unclaimed_packets(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(RttProber, SamplesCarrySendTimestamps) {

@@ -178,16 +178,23 @@ TEST(TcpSender, TwoGreedyFlowsShareFairly) {
 TEST(TcpConnection, SafeToDestroyWithEventsInFlight) {
   // ACK deliveries and RTO timers may still be scheduled when a connection
   // is torn down (e.g. the Fig. 15 timeline destroys the BTC connection at
-  // an interval boundary). Those events must expire, not dereference a
-  // dead sender.
+  // an interval boundary). They are owned by the receiver's delay line and
+  // the sender's timer, so they are dropped with them instead of
+  // dereferencing a dead sender.
   TestNet net{Rate::mbps(8)};
   {
     TcpConnection conn{net.sim, *net.path, TcpConfig{}, Duration::milliseconds(40)};
     conn.sender().start();
     net.sim.run_for(Duration::seconds(2));
     // Destroy mid-transfer with ACKs in flight and the RTO armed.
+    ASSERT_GT(conn.receiver().acks_in_flight(), 0u);
+    ASSERT_TRUE(conn.sender().rto_armed());
   }
-  EXPECT_NO_THROW(net.sim.run_for(Duration::seconds(5)));
+  EXPECT_NO_THROW(net.sim.run_for(Duration::seconds(10)));
+  // Only data segments already on the link were left; they surfaced
+  // unclaimed, and nothing of the connection is still scheduled.
+  EXPECT_GT(net.path->egress().unclaimed_packets(), 0u);
+  EXPECT_EQ(net.sim.pending_events(), 0u);
 }
 
 TEST(TcpSender, GreedyFlowStealsFromWindowLimitedFlows) {

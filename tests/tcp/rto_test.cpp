@@ -77,9 +77,14 @@ TEST(TcpRto, NoSpuriousTimeoutWhenIdle) {
   TcpConnection conn{net.sim, *net.path, TcpConfig{}, Duration::milliseconds(20)};
   conn.sender().start();
   net.sim.run_for(Duration::seconds(2));
+  EXPECT_TRUE(conn.sender().rto_armed());
   conn.sender().stop();
   net.sim.run_for(Duration::seconds(30));  // all data acked, long idle
   EXPECT_EQ(conn.sender().timeouts(), 0u);
+  // The timer woke once more after the last ACK, found nothing in flight
+  // and lapsed: nothing is left in the simulator's queue.
+  EXPECT_FALSE(conn.sender().rto_armed());
+  EXPECT_EQ(net.sim.pending_events(), 0u);
 }
 
 TEST(TcpRto, SrttConvergesAndRtoTracksIt) {
