@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -90,10 +91,14 @@ TEST(FluidPath, Proposition2ExitRateDependsOnNonTightLinks) {
 
 // --- Proposition 1 property sweep -------------------------------------------
 
+// gtest prints this param as its raw bytes, and CMake's test discovery puts
+// that dump into each case's test name. Padding bytes are uninitialised, so the
+// struct must have none, or the names change from build to build.
 struct Prop1Case {
   double offered_mbps;
-  bool expect_increasing;
+  std::uint64_t expect_increasing;  // 0 or 1; full width leaves no padding
 };
+static_assert(sizeof(Prop1Case) == sizeof(double) + sizeof(std::uint64_t));
 
 class Proposition1Test : public ::testing::TestWithParam<Prop1Case> {};
 
